@@ -62,10 +62,10 @@ pub struct ClusterConfig {
     /// idle simulations quiesce; enable it for failure scenarios together
     /// with a finite simulation horizon.
     pub monitor: Option<MonitorConfig>,
-    /// Control-plane retry policy. `None` (the default) keeps every
-    /// protocol exchange single-shot and unbounded — byte-identical to
-    /// the pre-chaos system. Set it to harden the cluster against an
-    /// installed [`FaultPlan`].
+    /// Control-plane resend schedule. `None` (the default) sends every
+    /// request once and waits for its answer without bound, with no
+    /// retransmit ticks. Set it to survive an installed [`FaultPlan`];
+    /// the protocol itself is the same either way.
     pub retry: Option<RetryPolicy>,
     /// Deterministic fault-injection plan installed on the network at
     /// build time. Combine with [`ClusterConfig::retry`]; faults without
@@ -143,7 +143,7 @@ impl ClusterConfig {
         self
     }
 
-    /// Builder: harden the control plane with a retry policy.
+    /// Builder: resend control-plane messages under a retry policy.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = Some(retry);
         self

@@ -48,16 +48,16 @@ use std::time::Instant;
 use darms_experiments::{
     datacenter, figures, hostmem, replay, runner, soak, DatacenterConfig, ReplayConfig,
 };
-use darms_sim::{Engine, QuantileEstimator, QueueKind, SimConfig, SimDuration};
+use darms_sim::{Engine, QuantileEstimator, SimConfig, SimDuration};
 
 /// Ping-pong events/sec measured immediately before this PR's kernel
 /// optimizations (best of 4 runs of the identical probe on the same
 /// machine). Kept fixed so the JSON shows the cumulative effect.
 const PRE_PR_PINGPONG_EPS: f64 = 108_013.0;
 
-fn pingpong_once(round_trips: u32, queue: QueueKind) -> (u64, f64) {
+fn pingpong_once(round_trips: u32) -> (u64, f64) {
     let n = round_trips;
-    let mut sim = Engine::new(SimConfig { seed: 1, queue_kind: queue, ..Default::default() });
+    let mut sim = Engine::new(SimConfig { seed: 1, ..Default::default() });
     let pong = sim.spawn_process("pong", move |p| async move {
         for _ in 0..n {
             let (v, src) = p.recv_as::<u32>().await;
@@ -177,32 +177,20 @@ fn main() {
     let mode = if smoke { "smoke" } else { "full" };
     println!("perf_report: mode={mode} cores={cores} sweep_threads={threads}");
 
-    // 1. Ping-pong: best of several runs (first doubles as warm-up),
-    // once per queue kind. The default (heap) row is the gated number;
-    // the calendar row records what the alternative backend costs on
-    // the same probe.
+    // 1. Ping-pong: best of several runs (first doubles as warm-up).
     let round_trips: u32 = if smoke { 20_000 } else { 200_000 };
     let runs = if smoke { 2 } else { 4 };
-    let best = |queue: QueueKind| {
-        let mut events = 0u64;
-        let mut best_wall = f64::MAX;
-        for _ in 0..runs {
-            let (ev, wall) = pingpong_once(round_trips, queue);
-            events = ev;
-            if wall < best_wall {
-                best_wall = wall;
-            }
-        }
-        (events, best_wall)
-    };
-    let (pp_events, pp_best_wall) = best(QueueKind::Heap);
-    let (cal_events, cal_best_wall) = best(QueueKind::Calendar);
-    assert_eq!(pp_events, cal_events, "queue kinds must agree on the event count");
+    let mut pp_events = 0u64;
+    let mut pp_best_wall = f64::MAX;
+    for _ in 0..runs {
+        let (ev, wall) = pingpong_once(round_trips);
+        pp_events = ev;
+        pp_best_wall = pp_best_wall.min(wall);
+    }
     let pp_eps = pp_events as f64 / pp_best_wall;
-    let cal_eps = cal_events as f64 / cal_best_wall;
     println!(
         "  pingpong: {pp_events} events in {pp_best_wall:.3}s -> {pp_eps:.0} events/sec \
-         ({:.2}x pre-PR baseline); calendar queue {cal_eps:.0} events/sec",
+         ({:.2}x the pre-optimisation baseline)",
         pp_eps / PRE_PR_PINGPONG_EPS
     );
 
@@ -394,12 +382,6 @@ fn main() {
          \"pre_pr_events_per_sec\": {PRE_PR_PINGPONG_EPS:.0}, \
          \"speedup_vs_pre_pr\": {:.2}}},",
         pp_eps / PRE_PR_PINGPONG_EPS
-    );
-    let _ = writeln!(
-        json,
-        "  \"queue_compare\": {{\"probe\": \"pingpong\", \"heap_events_per_sec\": {pp_eps:.0}, \
-         \"calendar_events_per_sec\": {cal_eps:.0}, \"calendar_vs_heap\": {:.2}}},",
-        cal_eps / pp_eps
     );
     let _ = writeln!(
         json,

@@ -1,12 +1,12 @@
-//! Golden-trace determinism guard for the stackless-runtime refactor.
+//! Golden-trace determinism guard.
 //!
-//! The files under `tests/golden/` were captured with the pre-refactor
-//! threaded runtime (one OS thread per process, `ProcCtl` park/unpark
-//! hand-off). These tests assert the current runtime reproduces them
-//! **byte-for-byte**: every structured trace event (virtual time,
-//! source, name, detail) in the same order, plus identical
-//! deterministic engine counters (events, context switches, queue-depth
-//! profile, process counts).
+//! The files under `tests/golden/` pin complete seeded runs: every
+//! structured trace event (virtual time, source, name, detail) in order,
+//! plus the deterministic engine counters (events, context switches,
+//! queue-depth profile, process counts). These tests assert the current
+//! build reproduces them **byte-for-byte**. A change that moves protocol
+//! timing re-records them; diffing old and new with the `t_ns` fields
+//! stripped shows whether anything but timing moved.
 //!
 //! Regenerate deliberately with:
 //!

@@ -147,9 +147,9 @@ impl FaultPlan {
 /// Retry budget for request/reply exchanges over a faulty network:
 /// capped exponential backoff. Stored on the [`crate::Network`] so every
 /// control-plane layer (IFL, server↔mom, DAC front-end) shares one
-/// policy; `None` (the default) disables all retry machinery and keeps
-/// the failure-free fast path byte-identical to a network without the
-/// fault layer.
+/// policy. It sets only how often and how long messages are resent;
+/// `None` (the default) means one send per exchange, an unbounded wait
+/// and no retransmit ticks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Attempts per logical request before giving up (≥ 1).

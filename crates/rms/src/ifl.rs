@@ -7,7 +7,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use darms_net::{Address, HostId, Network};
-use darms_sim::Proc;
+use darms_sim::{Envelope, Proc};
 
 use crate::job::{ClientId, JobId, JobSpec, JobStatus};
 use crate::proto::*;
@@ -21,22 +21,49 @@ fn fresh_token() -> u64 {
     NEXT_TOKEN.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Why an IFL exchange failed (only possible when the network carries a
-/// [`darms_net::RetryPolicy`]; without one every call blocks until the
-/// reply arrives, as classic TORQUE clients do).
+/// Why an IFL exchange failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum IflError {
-    /// The retry budget was exhausted without a reply. The server may or
-    /// may not have acted on the request.
+    /// Every attempt went unanswered, or the request could not be sent
+    /// and there was no retry policy to try again. The server may or may
+    /// not have acted on the request.
     Timeout,
+}
+
+/// Send `msg` from a process and wait for the first envelope matching
+/// `is_reply`, resending on the schedule of the network's
+/// [`darms_net::RetryPolicy`]: up to `max_attempts` sends, each awaited
+/// for the capped exponential per-attempt timeout. With no policy there
+/// is one send and an unbounded wait, as classic TORQUE clients block;
+/// a send the network refuses then fails at once instead of waiting for
+/// a reply that cannot come. Returns `None` once the attempts are spent.
+pub(crate) async fn exchange<M: std::any::Any + Send + Clone>(
+    p: &Proc,
+    net: &Network,
+    from: HostId,
+    to: Address,
+    msg: M,
+    bytes: u64,
+    is_reply: impl Fn(&Envelope) -> bool,
+) -> Option<Envelope> {
+    let policy = net.retry_policy();
+    for attempt in 0..policy.map_or(1, |pol| pol.max_attempts.max(1)) {
+        let sent = net.send_from_proc(p, from, to, msg.clone(), bytes).is_sent();
+        let reply = match policy {
+            Some(pol) => p.recv_where_timeout(&is_reply, pol.timeout_for(attempt)).await,
+            None if sent => Some(p.recv_where(&is_reply).await),
+            None => None,
+        };
+        if reply.is_some() {
+            return reply;
+        }
+    }
+    None
 }
 
 /// Generic blocking request/response exchange with the server.
 ///
-/// With no retry policy on the network this is a single send plus an
-/// unbounded wait — byte-identical to the pre-chaos protocol. With a
-/// policy, the request is retransmitted under capped exponential backoff;
-/// the correlation token doubles as an idempotency key (the server caches
+/// The correlation token doubles as an idempotency key (the server caches
 /// the reply to every completed token and re-answers duplicates without
 /// re-executing), so retransmits are safe even for mutating verbs.
 async fn call<Req, Resp>(
@@ -53,41 +80,15 @@ where
 {
     let token = fresh_token();
     let reply = net.bind_auto(from, p.endpoint());
-    let result = match net.retry_policy() {
-        None => {
-            let req = build(token, reply);
-            let outcome = net.send_from_proc(p, from, server, req, IFL_BYTES);
-            assert!(outcome.is_sent(), "IFL request could not reach the server: {outcome:?}");
-            let env =
-                p.recv_where(|e| e.peek::<Resp>().is_some_and(|r| token_of(r) == token)).await;
-            Ok(env.downcast::<Resp>().expect("matched by predicate"))
-        }
-        Some(policy) => {
-            // Evict replies from earlier timed-out calls of this process
-            // so mailboxes stay bounded under duplication.
-            while p.try_recv_where(|e| e.peek::<Resp>().is_some()).is_some() {}
-            let mut got = None;
-            for attempt in 0..policy.max_attempts.max(1) {
-                let req = build(token, reply);
-                let _ = net.send_from_proc(p, from, server, req, IFL_BYTES);
-                let pred = |e: &darms_sim::Envelope| {
-                    e.peek::<Resp>().is_some_and(|r| token_of(r) == token)
-                };
-                if let Some(env) = p.recv_where_timeout(pred, policy.timeout_for(attempt)).await {
-                    got = Some(env.downcast::<Resp>().expect("matched by predicate"));
-                    break;
-                }
-            }
-            // Drop duplicate replies the fault layer may have delivered.
-            while p
-                .try_recv_where(|e| e.peek::<Resp>().is_some_and(|r| token_of(r) == token))
-                .is_some()
-            {}
-            got.ok_or(IflError::Timeout)
-        }
-    };
+    // Evict replies from earlier timed-out calls of this process so
+    // mailboxes stay bounded under duplication.
+    while p.try_recv_where(|e| e.peek::<Resp>().is_some()).is_some() {}
+    let is_reply = |e: &Envelope| e.peek::<Resp>().is_some_and(|r| token_of(r) == token);
+    let got = exchange(p, net, from, server, build(token, reply), IFL_BYTES, &is_reply).await;
+    // Drop duplicate replies the fault layer may have delivered.
+    while p.try_recv_where(&is_reply).is_some() {}
     net.unbind(reply);
-    result
+    got.map(|env| env.downcast::<Resp>().expect("matched by predicate")).ok_or(IflError::Timeout)
 }
 
 /// Submit a job; returns its id once the server has enqueued it.

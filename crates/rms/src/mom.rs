@@ -204,13 +204,15 @@ pub struct PbsMom {
     /// duplicate launches at or below it are ignored.
     done_jobs: BTreeMap<JobId, u32>,
     /// `JobExit`s awaiting the server's ack, with remaining resend
-    /// attempts (only populated when a retry policy is active).
+    /// attempts (resent only when a retry policy arms the tick).
     exit_pending: BTreeMap<JobId, (JobExit, u32)>,
     /// Tokens of completed dynamic joins: a duplicate `DynJoinCmd` is
     /// answered by re-sending `DynReady`.
     completed_dynjoins: BTreeSet<u64>,
     /// Completed releases: a duplicate `DisjoinCmd` is answered by
-    /// re-sending `FreeDone`.
+    /// re-sending `FreeDone`. A job's entries are dropped when the server
+    /// acknowledges its exit or cleans it up, after which it resends no
+    /// `DisjoinCmd`.
     completed_frees: BTreeMap<ClientId, (JobId, DynSet)>,
 }
 
@@ -449,34 +451,14 @@ impl PbsMom {
                     }
                 }
                 // Task epilogue: report completion to the mother
-                // superior. Under a retry policy the report is repeated
-                // until the mom acknowledges it (the ack travels directly
-                // to this process, so only the lossy report direction is
-                // retried).
+                // superior until it acknowledges the report (the ack
+                // travels directly to this process, so only the report
+                // direction is resent).
                 let done = TaskDone { job, node_index: i };
-                match net.retry_policy() {
-                    None => {
-                        net.send_from_proc(&proc, cn_host, ms_mom, done, bytes);
-                    }
-                    Some(pol) => {
-                        for attempt in 0..pol.max_attempts.max(1) {
-                            net.send_from_proc(&proc, cn_host, ms_mom, done.clone(), bytes);
-                            let acked = proc
-                                .recv_where_timeout(
-                                    |e| {
-                                        e.peek::<TaskDoneAck>()
-                                            .is_some_and(|a| a.job == job && a.node_index == i)
-                                    },
-                                    pol.timeout_for(attempt),
-                                )
-                                .await
-                                .is_some();
-                            if acked {
-                                break;
-                            }
-                        }
-                    }
-                }
+                let _ = ifl::exchange(&proc, &net, cn_host, ms_mom, done, bytes, |e| {
+                    e.peek::<TaskDoneAck>().is_some_and(|a| a.job == job && a.node_index == i)
+                })
+                .await;
             });
             if let Some(rec) = self.jobs.get_mut(&job) {
                 rec.task_pids.push(pid);
@@ -672,9 +654,7 @@ impl PbsMom {
                 .chain(rec.dyn_hosts.iter().copied())
                 .collect();
             let removed = st.set.accs.clone();
-            if self.net.retry_policy().is_some() {
-                self.completed_frees.insert(cid, (msg.job, st.set.clone()));
-            }
+            self.completed_frees.insert(cid, (msg.job, st.set.clone()));
             let free_done = FreeDone { job: msg.job, set: st.set };
             self.send_to(ctx, server_addr(self.head), free_done);
             for h in remaining {
@@ -687,13 +667,11 @@ impl PbsMom {
     // -- job completion -----------------------------------------------------
 
     fn handle_task_done(&mut self, ctx: &mut Ctx<'_>, msg: TaskDone, src: Option<Endpoint>) {
-        if self.net.retry_policy().is_some() {
-            if let Some(src) = src {
-                // Quench the task's retry loop (even for duplicates of a
-                // job already finished and forgotten).
-                let ack = TaskDoneAck { job: msg.job, node_index: msg.node_index };
-                ctx.send(src, ack, SimDuration::from_micros(5));
-            }
+        if let Some(src) = src {
+            // Release the task's epilogue (even for duplicates of a job
+            // already finished and forgotten).
+            let ack = TaskDoneAck { job: msg.job, node_index: msg.node_index };
+            ctx.send(src, ack, SimDuration::from_micros(5));
         }
         let Some(rec) = self.jobs.get_mut(&msg.job) else { return };
         if !rec.is_ms {
@@ -721,15 +699,12 @@ impl PbsMom {
         }
     }
 
-    /// Send a `JobExit`, registering it for resend-until-ack when a retry
-    /// policy is active, and remember the finished incarnation so late
-    /// duplicate launches are ignored.
+    /// Send a `JobExit`, registering it for resend-until-ack, and remember
+    /// the finished incarnation so late duplicate launches are ignored.
     fn send_exit(&mut self, ctx: &mut Ctx<'_>, exit: JobExit) {
         let done = self.done_jobs.entry(exit.job).or_insert(0);
         *done = (*done).max(exit.incarnation);
-        if self.net.retry_policy().is_some() {
-            self.exit_pending.insert(exit.job, (exit.clone(), EXIT_ATTEMPTS));
-        }
+        self.exit_pending.insert(exit.job, (exit.clone(), EXIT_ATTEMPTS));
         self.send_to(ctx, server_addr(self.head), exit);
     }
 
@@ -789,6 +764,12 @@ impl PbsMom {
             self.send_to(ctx, server_addr(self.head), exit);
         }
         ctx.set_timer(pol.retransmit, TOKEN_RETRY);
+    }
+
+    /// Drop the job's completed releases: the server has forgotten its
+    /// pending frees and will not resend a `DisjoinCmd` for them.
+    fn forget_frees(&mut self, job: JobId) {
+        self.completed_frees.retain(|_, (j, _)| *j != job);
     }
 
     fn handle_cleanup(&mut self, ctx: &mut Ctx<'_>, msg: CleanupJob) {
@@ -880,7 +861,7 @@ impl Actor for PbsMom {
         let env = match env.downcast::<JobExitAck>() {
             Ok(m) => {
                 self.exit_pending.remove(&m.job);
-                return;
+                return self.forget_frees(m.job);
             }
             Err(e) => e,
         };
@@ -900,7 +881,12 @@ impl Actor for PbsMom {
             Err(e) => e,
         };
         let env = match env.downcast::<CleanupJob>() {
-            Ok(m) => return self.handle_cleanup(ctx, m),
+            Ok(m) => {
+                // The server sends `CleanupJob` (qdel, reclaim) only after
+                // forgetting the job's pending frees, like an exit ack.
+                self.forget_frees(m.job);
+                return self.handle_cleanup(ctx, m);
+            }
             Err(e) => e,
         };
         let env = match env.downcast::<MomPing>() {
@@ -935,5 +921,128 @@ impl Actor for PbsMom {
             Some(Deferred::WalltimeExpired { job }) => self.walltime_expired(ctx, job),
             None => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Arc;
+
+    use darms_net::{HostKind, LatencyModel};
+    use darms_sim::{Engine, SimConfig};
+    use parking_lot::Mutex;
+
+    use super::*;
+
+    /// Runs an actor inside the engine while the test keeps a handle on it.
+    struct Shared<A>(Arc<Mutex<A>>);
+
+    impl<A: Actor> Actor for Shared<A> {
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, env: Envelope) {
+            self.0.lock().on_message(ctx, env);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            self.0.lock().on_timer(ctx, token);
+        }
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            self.0.lock().on_start(ctx);
+        }
+    }
+
+    /// Stand-in server: launches one job on the mom, releases one
+    /// dynamic set of it once it runs, and acknowledges its exit.
+    struct Server {
+        net: Network,
+        head: HostId,
+        mom: Arc<Mutex<PbsMom>>,
+        launch: JobLaunch,
+        acc: HostId,
+        /// `completed_frees` entries seen when `FreeDone` arrived.
+        frees_at_free_done: Option<usize>,
+        exits: u32,
+    }
+
+    impl Server {
+        fn send(&self, ctx: &mut Ctx<'_>, to: HostId, msg: impl std::any::Any + Send + Clone) {
+            self.net.send_from_ctx(ctx, self.head, mom_addr(to), msg, 64);
+        }
+    }
+
+    impl Actor for Server {
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            let ms = self.launch.compute[0];
+            self.send(ctx, ms, SendJob { launch: self.launch.clone() });
+        }
+
+        fn on_message(&mut self, ctx: &mut Ctx<'_>, env: Envelope) {
+            let env = match env.downcast::<JobStarted>() {
+                Ok(m) => {
+                    let cmd = DisjoinCmd {
+                        job: m.job,
+                        client_id: ClientId(1),
+                        accs: vec![self.acc],
+                        slices: vec![],
+                        ppn: 0,
+                    };
+                    return self.send(ctx, m.from, cmd);
+                }
+                Err(e) => e,
+            };
+            let env = match env.downcast::<FreeDone>() {
+                Ok(_) => {
+                    self.frees_at_free_done = Some(self.mom.lock().completed_frees.len());
+                    return;
+                }
+                Err(e) => e,
+            };
+            if let Ok(m) = env.downcast::<JobExit>() {
+                self.exits += 1;
+                self.send(ctx, m.from, JobExitAck { job: m.job });
+            }
+        }
+    }
+
+    #[test]
+    fn completed_frees_are_dropped_when_the_exit_is_acked() {
+        let mut sim = Engine::new(SimConfig::default());
+        let net = Network::new(LatencyModel::ideal(), 1);
+        let head = net.add_host("head", HostKind::Head);
+        let cn = net.add_host("cn", HostKind::Compute);
+        // No mom runs on the accelerator: its DISJOIN short-circuits.
+        let acc = net.add_host("acc", HostKind::Accelerator);
+        let mom =
+            PbsMom::new(net.clone(), PseudoFs::new(), cn, head, RmsCostModel::instant(), None);
+        let mom = Arc::new(Mutex::new(mom));
+        let mom_id = sim.add_actor(Box::new(Shared(mom.clone())));
+        net.bind(mom_addr(cn), Endpoint::Actor(mom_id));
+        let launch = JobLaunch {
+            job: JobId(1),
+            incarnation: 0,
+            spec: JobSpec::synthetic("job", SimDuration::from_secs(10)),
+            compute: vec![cn],
+            accs: vec![vec![]],
+        };
+        let server = Server {
+            net: net.clone(),
+            head,
+            mom: mom.clone(),
+            launch,
+            acc,
+            frees_at_free_done: None,
+            exits: 0,
+        };
+        let server = Arc::new(Mutex::new(server));
+        let server_id = sim.add_actor(Box::new(Shared(server.clone())));
+        net.bind(server_addr(head), Endpoint::Actor(server_id));
+
+        let stats = sim.run();
+        assert_eq!(stats.process_panics, 0);
+        let server = server.lock();
+        assert_eq!(server.frees_at_free_done, Some(1), "the release was recorded");
+        assert_eq!(server.exits, 1);
+        let mom = mom.lock();
+        assert!(mom.completed_frees.is_empty(), "released sets outlive the job");
+        assert!(mom.exit_pending.is_empty());
+        assert!(mom.jobs.is_empty());
     }
 }

@@ -172,9 +172,9 @@ pub enum DynReject {
     /// The job is unknown or not running.
     BadJob,
     /// The retry budget was exhausted without a definitive answer from
-    /// the server (only produced when a [`darms_net::RetryPolicy`] is
-    /// active). The request may still be serviced server-side; the
-    /// server's per-job purge on termination reclaims it.
+    /// the server (see [`crate::ifl::IflError::Timeout`]). The request may
+    /// still be serviced server-side; the server's per-job purge on
+    /// termination reclaims it.
     Timeout,
 }
 
@@ -570,8 +570,8 @@ pub struct TaskDone {
     pub node_index: usize,
 }
 
-/// Mother superior -> application task: [`TaskDone`] received — stop
-/// retransmitting. Only sent when a retry policy is active.
+/// Mother superior -> application task: [`TaskDone`] received — the
+/// task's epilogue may end.
 #[derive(Clone)]
 pub struct TaskDoneAck {
     /// The job.
@@ -585,8 +585,7 @@ pub struct TaskDoneAck {
 pub struct JobExit {
     /// The job.
     pub job: JobId,
-    /// The reporting mother superior (the server acks back to it when a
-    /// retry policy is active).
+    /// The reporting mother superior (the server acks back to it).
     pub from: HostId,
     /// Echo of [`JobLaunch::incarnation`]; stale incarnations are ignored.
     pub incarnation: u32,
@@ -596,7 +595,6 @@ pub struct JobExit {
 }
 
 /// Server -> mother superior: [`JobExit`] received — stop retransmitting.
-/// Only sent when a retry policy is active.
 #[derive(Clone)]
 pub struct JobExitAck {
     /// The job.

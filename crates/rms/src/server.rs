@@ -760,13 +760,11 @@ impl PbsServer {
     // -- job end ----------------------------------------------------------
 
     fn handle_job_exit(&mut self, ctx: &mut Ctx<'_>, msg: JobExit) {
-        // Hardened mode: acknowledge so the mom stops retransmitting, and
-        // aggressively purge dynamic state the job can no longer resolve.
-        let hardened = self.net.retry_policy().is_some();
+        // Every exit is acknowledged so the mom stops resending it, and the
+        // job's dynamic requests die with it: a queued `AC_Get` of a dead
+        // job would otherwise be served later and revive the job.
         let Some(rec) = self.jobs.get_mut(&msg.job) else {
-            if hardened {
-                self.send_mom(ctx, msg.from, JobExitAck { job: msg.job });
-            }
+            self.send_mom(ctx, msg.from, JobExitAck { job: msg.job });
             return;
         };
         let stale = rec.incarnation != msg.incarnation;
@@ -775,17 +773,13 @@ impl PbsServer {
         if stale || terminal {
             // A stale mom of a requeued incarnation, or a duplicate of an
             // exit already applied: quench the sender, change nothing.
-            if hardened {
-                self.send_mom(ctx, msg.from, JobExitAck { job: msg.job });
-            }
+            self.send_mom(ctx, msg.from, JobExitAck { job: msg.job });
             return;
         }
         rec.state = if msg.timed_out { JobState::TimedOut } else { JobState::Complete };
         rec.completed = Some(ctx.now());
+        rec.dyn_sets.clear();
         self.active.remove(&msg.job);
-        if hardened {
-            rec.dyn_sets.clear();
-        }
         self.db.lock().release_job(msg.job);
         self.fs.remove_job(msg.job);
         self.record_pool_util(ctx);
@@ -794,11 +788,9 @@ impl PbsServer {
             msg.job,
             if msg.timed_out { "killed: walltime exceeded" } else { "complete" }
         ));
-        if hardened {
-            self.purge_dyns_for(ctx, msg.job);
-            self.purge_frees_for(msg.job);
-            self.send_mom(ctx, msg.from, JobExitAck { job: msg.job });
-        }
+        self.purge_dyns_for(ctx, msg.job);
+        self.purge_frees_for(msg.job);
+        self.send_mom(ctx, msg.from, JobExitAck { job: msg.job });
         self.wake_scheduler(ctx);
     }
 
@@ -996,7 +988,6 @@ impl PbsServer {
         if self.dedup_hit(ctx, req.token) {
             return;
         }
-        let hardened = self.net.retry_policy().is_some();
         let mut was_active = false;
         let ok = match self.jobs.get_mut(&req.job) {
             Some(rec) if matches!(rec.state, JobState::Queued | JobState::Held) => {
@@ -1009,11 +1000,9 @@ impl PbsServer {
             Some(rec) if matches!(rec.state, JobState::Running | JobState::DynQueued) => {
                 rec.state = JobState::Cancelled;
                 rec.completed = Some(ctx.now());
+                rec.dyn_sets.clear();
                 self.active.remove(&req.job);
                 was_active = true;
-                if hardened {
-                    rec.dyn_sets.clear();
-                }
                 let ms = rec.compute.first().copied();
                 let incarnation = rec.incarnation;
                 self.db.lock().release_job(req.job);
@@ -1028,7 +1017,7 @@ impl PbsServer {
         let resp = QdelResp { token: req.token, ok };
         self.dedup_store(req.token, req.reply, CachedResp::Qdel(resp.clone()));
         self.reply(ctx, req.reply, resp);
-        if ok && was_active && hardened {
+        if was_active {
             self.purge_dyns_for(ctx, req.job);
             self.purge_frees_for(req.job);
         }

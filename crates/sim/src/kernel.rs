@@ -23,7 +23,7 @@ use rand::SeedableRng;
 use crate::envelope::{ActorId, Endpoint, Envelope, ProcessId};
 use crate::metrics::MetricsRegistry;
 use crate::process::ProcBody;
-use crate::queue::{EventQueue, QueueKind};
+use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceEvent, TraceEventKind, TraceSource, Tracer};
 
@@ -133,9 +133,6 @@ pub struct SimConfig {
     pub trace: bool,
     /// Echo trace lines to stderr as they happen (debugging aid).
     pub trace_echo: bool,
-    /// Which data structure backs the event queue. Both kinds yield the
-    /// exact same `(time, seq)` order; this is a performance knob.
-    pub queue_kind: QueueKind,
 }
 
 impl Default for SimConfig {
@@ -146,7 +143,6 @@ impl Default for SimConfig {
             horizon: SimTime::MAX,
             trace: false,
             trace_echo: false,
-            queue_kind: QueueKind::Heap,
         }
     }
 }
@@ -278,7 +274,7 @@ impl Kernel {
         Kernel {
             now: SimTime::ZERO,
             seq: 0,
-            queue: EventQueue::new(config.queue_kind),
+            queue: EventQueue::new(),
             procs: Vec::new(),
             shutdown: false,
             rng: SmallRng::seed_from_u64(config.seed),

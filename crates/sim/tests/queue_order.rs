@@ -1,12 +1,13 @@
-//! Cross-queue property test: the calendar queue must yield events in
-//! exactly the heap's `(time, seq)` order, so a simulation behaves
-//! identically under either `QueueKind`. Schedules are randomized and
-//! deliberately include same-timestamp batches (duplicate delays and
-//! zero-delay sends) and cancelled/re-armed timers.
+//! Event-queue order property test: the kernel must deliver events in
+//! `(time, seq)` order, so virtual time never runs backwards, events
+//! scheduled for the same instant keep their scheduling order, and a
+//! seed replays identically. Schedules are randomized and deliberately
+//! include same-timestamp batches (duplicate delays and zero-delay
+//! sends) and cancelled/re-armed timers.
 
 use std::sync::Arc;
 
-use darms_sim::{Actor, Ctx, Engine, Envelope, QueueKind, SimConfig, SimDuration};
+use darms_sim::{Actor, Ctx, Engine, Envelope, SimConfig, SimDuration};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 
@@ -60,11 +61,11 @@ impl Actor for Driver {
     }
 }
 
-/// Run the scenario under one queue kind; returns the observation log
-/// plus the stats the run produced (`SimStats` equality ignores wall
-/// time, so this compares event counts, clock, switches, depths...).
-fn run_scenario(ops: &[Op], seed: u64, kind: QueueKind) -> (Vec<(u64, u32)>, darms_sim::SimStats) {
-    let mut sim = Engine::new(SimConfig { seed, queue_kind: kind, ..Default::default() });
+/// Run the scenario; returns the observation log plus the stats the run
+/// produced (`SimStats` equality ignores wall time, so this compares
+/// event counts, clock, switches, depths...).
+fn run_scenario(ops: &[Op], seed: u64) -> (Vec<(u64, u32)>, darms_sim::SimStats) {
+    let mut sim = Engine::new(SimConfig { seed, ..Default::default() });
     let log: Log = Arc::new(Mutex::new(Vec::new()));
     let l = log.clone();
     let recorder = sim.spawn_process("recorder", move |p| async move {
@@ -79,43 +80,54 @@ fn run_scenario(ops: &[Op], seed: u64, kind: QueueKind) -> (Vec<(u64, u32)>, dar
     (out, stats)
 }
 
+/// Check one scenario: timestamps never decrease, every same-timestamp
+/// pair arrives in send order, and a second run of the seed reproduces
+/// the log and stats exactly.
+fn check_order(ops: &[Op], seed: u64) -> Vec<(u64, u32)> {
+    let (log, stats) = run_scenario(ops, seed);
+    prop_assert!(log.windows(2).all(|w| w[0].0 <= w[1].0), "time ran backwards: {:?}", log);
+    for (i, &(action, _, _)) in ops.iter().enumerate() {
+        if action % 4 == 3 {
+            let pos = |tag: u32| log.iter().position(|&(_, v)| v == tag);
+            let (first, second) = (pos(1_000 + i as u32), pos(2_000 + i as u32));
+            prop_assert!(first.is_some() && first < second, "pair {} out of order: {:?}", i, log);
+        }
+    }
+    let (replay_log, replay_stats) = run_scenario(ops, seed);
+    prop_assert_eq!(&log, &replay_log);
+    prop_assert_eq!(stats, replay_stats);
+    log
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, .. ProptestConfig::default() })]
 
     /// The observable history (every delivery and timer fire, with its
-    /// virtual timestamp) and the run stats are identical whichever
-    /// structure orders the event set.
+    /// virtual timestamp) is in time order and reproducible.
     #[test]
-    fn calendar_queue_matches_heap_order(
+    fn queue_yields_time_order(
         ops in prop::collection::vec((0u8..4, 0u64..5_000, 0u64..6u64), 1..60),
         seed in 0u64..1_000,
     ) {
-        let (heap_log, heap_stats) = run_scenario(&ops, seed, QueueKind::Heap);
-        let (cal_log, cal_stats) = run_scenario(&ops, seed, QueueKind::Calendar);
-        prop_assert_eq!(&heap_log, &cal_log);
-        prop_assert_eq!(heap_stats, cal_stats);
+        let log = check_order(&ops, seed);
         // Sanity: non-degenerate scenarios actually observe something.
         if ops.iter().any(|&(a, _, _)| a % 4 != 2) {
-            prop_assert!(!heap_log.is_empty());
+            prop_assert!(!log.is_empty());
         }
     }
 
-    /// Same property under wide time spreads (forces calendar-queue
-    /// resizes and the sparse-fallback path) and many duplicate
+    /// Same property under wide time spreads and many duplicate
     /// timestamps (deep same-time batches).
     #[test]
-    fn calendar_queue_matches_heap_extremes(
+    fn queue_yields_time_order_extremes(
         raw_ops in prop::collection::vec((0u8..4, 0usize..9, 0u64..6u64), 1..40),
         seed in 0u64..1_000,
     ) {
         // Delay palette skewed toward collisions (deep same-time
-        // batches) and huge gaps (calendar resizes + sparse fallback).
+        // batches) and huge gaps.
         const DELAYS: [u64; 9] = [0, 1, 2, 1_000, 1_000, 1_000, 50_000, 10_000_000, 4_000_000_000];
         let ops: Vec<Op> =
             raw_ops.iter().map(|&(a, d, t)| (a, DELAYS[d], t)).collect();
-        let (heap_log, heap_stats) = run_scenario(&ops, seed, QueueKind::Heap);
-        let (cal_log, cal_stats) = run_scenario(&ops, seed, QueueKind::Calendar);
-        prop_assert_eq!(&heap_log, &cal_log);
-        prop_assert_eq!(heap_stats, cal_stats);
+        check_order(&ops, seed);
     }
 }
