@@ -25,7 +25,7 @@
 # `make verify` through it); `make deny` audits Cargo.lock and the
 # crate licenses against deny.toml.
 
-.PHONY: verify fmt lint lint-darms lint-graph deny build test bench bench-smoke bench-check chaos-smoke soak-smoke fabric-smoke
+.PHONY: verify fmt lint lint-darms lint-graph deny build test bench bench-smoke bench-check bench-digest chaos-smoke soak-smoke fabric-smoke
 
 verify: fmt lint lint-darms lint-graph deny build test chaos-smoke soak-smoke fabric-smoke bench-check
 
@@ -59,6 +59,13 @@ bench-smoke:
 
 bench-check:
 	cargo run --release -p darms-experiments --bin perf_report -- --smoke --out target/BENCH_sim.smoke.json --check BENCH_sim.json
+
+bench-digest:
+	@for w in dc_deep dc_wide dyn_offload; do \
+		printf '%s: ' $$w; \
+		cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
+			--workload $$w --seed 1 --seconds 0 --trace 0 | grep '^# digest' || exit 1; \
+	done
 
 chaos-smoke:
 	cargo run --release -p darms-experiments --bin chaos_sweep -- --smoke

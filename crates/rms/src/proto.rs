@@ -249,8 +249,8 @@ pub struct ClusterQueryReq {
     pub reply: Address,
     /// Token of the last response this client applied, if it holds a
     /// node-state cache. When it matches the last response the server
-    /// actually served, the server may answer with a node *delta*
-    /// (changed nodes only) instead of the full list; any mismatch
+    /// actually served, the server may answer with a *delta* (changed
+    /// nodes and running jobs only) instead of the full lists; any mismatch
     /// (lost response, restarted client) falls back to a full snapshot.
     pub cached_token: Option<u64>,
     /// Hosts the client wants restated verbatim in a delta response
@@ -298,7 +298,7 @@ pub struct QueuedJobSnap {
 }
 
 /// One running job as seen by the scheduler (fairshare and backfill).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunningJobSnap {
     /// Job id.
     pub job: JobId,
@@ -345,7 +345,10 @@ pub struct ClusterSnapshot {
     pub nodes: Vec<NodeSnap>,
     /// Jobs waiting for initial allocation, submission order.
     pub queued: Vec<QueuedJobSnap>,
-    /// Running jobs.
+    /// Running jobs in `JobId` order. In a delta response
+    /// ([`ClusterQueryResp::delta`]) only the jobs whose entry changed
+    /// since the previous response; the jobs that stopped running are in
+    /// [`ClusterQueryResp::running_ended`].
     pub running: Vec<RunningJobSnap>,
     /// The dynamic request awaiting scheduling, if any.
     pub dyn_pending: Option<DynPendingSnap>,
@@ -365,11 +368,17 @@ pub struct ClusterQueryResp {
     pub token: u64,
     /// The snapshot.
     pub snapshot: ClusterSnapshot,
-    /// When `true`, `snapshot.nodes` holds only the nodes that changed
-    /// since the response named by the request's `cached_token` (plus
-    /// any requested refreshes) — the client patches its cache instead
-    /// of rebuilding. `queued`/`running`/`dyn_pending` are always full.
-    pub nodes_delta: bool,
+    /// Jobs that stopped running since the previous response (delta
+    /// responses only; empty otherwise).
+    pub running_ended: Vec<JobId>,
+    /// When `true`, the response is a delta against the one named by the
+    /// request's `cached_token`: `snapshot.nodes` holds only the nodes
+    /// that changed since then (plus any requested refreshes), and
+    /// `snapshot.running` only the running jobs whose entry changed, with
+    /// `running_ended` naming the jobs that left. The client patches its
+    /// cache instead of rebuilding. `queued`/`dyn_pending` are always
+    /// full.
+    pub delta: bool,
 }
 
 /// Scheduler -> server: start a queued job on these resources.

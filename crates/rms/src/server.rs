@@ -35,6 +35,43 @@ struct JobRecord {
 }
 
 impl JobRecord {
+    /// The one place a job's state changes. `Complete`, `Cancelled` and
+    /// `TimedOut` are absorbing. Callers only change live jobs (exit,
+    /// `qdel` and reclaim purge a dead job's dynamic requests), so an
+    /// attempt to leave a terminal state is a bug: it trips a debug
+    /// assertion and is refused in release builds.
+    fn set_state(&mut self, to: JobState) {
+        debug_assert!(
+            !self.state.is_terminal(),
+            "{} may not leave {:?} for {:?}",
+            self.id,
+            self.state,
+            to
+        );
+        if !self.state.is_terminal() {
+            self.state = to;
+        }
+    }
+
+    /// The job's entry in the scheduler's running list.
+    fn running_snap(&self) -> RunningJobSnap {
+        RunningJobSnap {
+            job: self.id,
+            owner: self.spec.owner.clone(),
+            started: self.started.unwrap_or(self.submitted),
+            walltime_estimate: self.spec.walltime_estimate,
+            compute_hosts: self.compute.clone(),
+            ppn: self.spec.ppn,
+            acc_hosts: self
+                .accs
+                .iter()
+                .flatten()
+                .chain(self.dyn_sets.iter().flat_map(|s| s.accs.iter()))
+                .copied()
+                .collect(),
+        }
+    }
+
     fn status(&self) -> JobStatus {
         JobStatus {
             id: self.id,
@@ -143,10 +180,20 @@ pub struct PbsServer {
     pending_frees: BTreeMap<ClientId, (JobId, DynSet)>,
     /// Token of the last `ClusterQueryResp` served. A query whose
     /// `cached_token` matches proves the client applied that exact
-    /// response, so the node list can be answered as a delta of the
-    /// database's dirty set; any mismatch (lost response, fresh client)
+    /// response, so the node and running lists can be answered as deltas
+    /// of their dirty sets; any mismatch (lost response, fresh client)
     /// falls back to a full snapshot.
     snap_last_token: Option<u64>,
+    /// Jobs whose scheduler-visible running entry changed since the last
+    /// `ClusterQueryResp`: started, reported started by the mom, joined
+    /// or released a dynamic set, or left `active`. Drained by every
+    /// response.
+    running_dirty: BTreeSet<JobId>,
+    /// Debug builds only (empty otherwise): the running list as the
+    /// scheduler holds it after applying every response served. Each
+    /// delta is checked against a full rebuild, so a missed
+    /// `running_dirty` mark fails the first delta after it.
+    running_mirror: BTreeMap<JobId, RunningJobSnap>,
 }
 
 impl PbsServer {
@@ -173,6 +220,8 @@ impl PbsServer {
             ifl_order: VecDeque::new(),
             pending_frees: BTreeMap::new(),
             snap_last_token: None,
+            running_dirty: BTreeSet::new(),
+            running_mirror: BTreeMap::new(),
         }
     }
 
@@ -320,11 +369,13 @@ impl PbsServer {
 
     /// Build the response to one cluster query. When the client proves
     /// (via `cached_token`) that it applied the previous response, the
-    /// node list is a delta: only nodes the database dirtied since that
-    /// response, plus any the client asked to have restated. Queued,
-    /// running and dyn-pending lists are always full — they are sized
-    /// by activity, not cluster size.
-    fn snapshot_for(&mut self, req: &ClusterQueryReq) -> (ClusterSnapshot, bool) {
+    /// node and running lists are deltas: only nodes the database dirtied
+    /// since that response, plus any the client asked to have restated,
+    /// and only the running jobs whose entry changed (with the ones that
+    /// stopped running listed in `running_ended`). Queued and
+    /// dyn-pending lists are always full. Returns the snapshot, the ids
+    /// of jobs that left the running list, and whether it is a delta.
+    fn snapshot_for(&mut self, req: &ClusterQueryReq) -> (ClusterSnapshot, Vec<JobId>, bool) {
         let snap_of = |n: &crate::nodes::NodeRecord| NodeSnap {
             host: n.host,
             role: n.role,
@@ -333,23 +384,23 @@ impl PbsServer {
             cores_free: n.cores_free,
             offline: n.offline,
         };
-        let delta_ok = req.cached_token.is_some() && req.cached_token == self.snap_last_token;
+        let delta = req.cached_token.is_some() && req.cached_token == self.snap_last_token;
         self.snap_last_token = Some(req.token);
-        let (nodes, nodes_delta) = {
+        let nodes = {
             let mut db = self.db.lock();
             // Drain in either mode: after this response the client is
             // current, so only later changes matter.
             let mut changed = db.take_dirty();
-            if delta_ok {
+            if delta {
                 for h in &req.refresh {
                     if let Some(i) = db.index_of(*h) {
                         changed.insert(i);
                     }
                 }
                 let all = db.nodes();
-                (changed.iter().map(|&i| snap_of(&all[i])).collect::<Vec<_>>(), true)
+                changed.iter().map(|&i| snap_of(&all[i])).collect()
             } else {
-                (db.nodes().iter().map(snap_of).collect(), false)
+                db.nodes().iter().map(snap_of).collect()
             }
         };
         let queued = self
@@ -367,26 +418,23 @@ impl PbsServer {
                 walltime_estimate: j.spec.walltime_estimate,
             })
             .collect();
-        let running = self
-            .active
-            .iter()
-            .filter_map(|id| self.jobs.get(id))
-            .map(|j| RunningJobSnap {
-                job: j.id,
-                owner: j.spec.owner.clone(),
-                started: j.started.unwrap_or(j.submitted),
-                walltime_estimate: j.spec.walltime_estimate,
-                compute_hosts: j.compute.clone(),
-                ppn: j.spec.ppn,
-                acc_hosts: j
-                    .accs
-                    .iter()
-                    .flatten()
-                    .chain(j.dyn_sets.iter().flat_map(|s| s.accs.iter()))
-                    .copied()
-                    .collect(),
-            })
-            .collect();
+        let dirty = std::mem::take(&mut self.running_dirty);
+        let mut running_ended = Vec::new();
+        let running: Vec<RunningJobSnap> = if delta {
+            let mut running = Vec::new();
+            for id in dirty {
+                match self.jobs.get(&id).filter(|_| self.active.contains(&id)) {
+                    Some(j) => running.push(j.running_snap()),
+                    None => running_ended.push(id),
+                }
+            }
+            running
+        } else {
+            self.running_full().collect()
+        };
+        if cfg!(debug_assertions) {
+            self.check_running_mirror(delta, &running, &running_ended);
+        }
         let dyn_pending = self.dyn_active.as_ref().and_then(|p| {
             p.queued_at.map(|t| DynPendingSnap {
                 token: p.token,
@@ -398,7 +446,36 @@ impl PbsServer {
                 queued_at: t,
             })
         });
-        (ClusterSnapshot { nodes, queued, running, dyn_pending }, nodes_delta)
+        (ClusterSnapshot { nodes, queued, running, dyn_pending }, running_ended, delta)
+    }
+
+    /// Every active job's running entry, in `JobId` order.
+    fn running_full(&self) -> impl Iterator<Item = RunningJobSnap> + '_ {
+        self.active.iter().filter_map(|id| self.jobs.get(id)).map(JobRecord::running_snap)
+    }
+
+    /// Apply a response to the mirror of the scheduler's running list the
+    /// way the scheduler does, and check a delta against the full list.
+    fn check_running_mirror(&mut self, delta: bool, running: &[RunningJobSnap], ended: &[JobId]) {
+        if !delta {
+            self.running_mirror.clear();
+        }
+        for id in ended {
+            self.running_mirror.remove(id);
+        }
+        for r in running {
+            self.running_mirror.insert(r.job, r.clone());
+        }
+        if delta {
+            let full: BTreeMap<JobId, RunningJobSnap> =
+                self.running_full().map(|r| (r.job, r)).collect();
+            debug_assert!(
+                self.running_mirror == full,
+                "running delta diverged from the full list: client has {:?}, server has {:?}",
+                self.running_mirror,
+                full
+            );
+        }
     }
 
     fn handle_run_job(&mut self, ctx: &mut Ctx<'_>, cmd: RunJobCmd) {
@@ -433,7 +510,7 @@ impl PbsServer {
             return;
         }
         let ppn = job.spec.ppn;
-        job.state = JobState::Running;
+        job.set_state(JobState::Running);
         job.compute = cmd.compute.clone();
         job.accs = cmd.accs.clone();
         job.incarnation += 1;
@@ -450,6 +527,7 @@ impl PbsServer {
         }
         self.record_pool_util(ctx);
         self.active.insert(id);
+        self.running_dirty.insert(id);
         self.queue_dead += 1;
         self.maybe_compact_queue();
         let ms = cmd.compute[0];
@@ -516,7 +594,7 @@ impl PbsServer {
         if let Some(p) = self.dyn_active.as_mut() {
             p.queued_at = Some(now);
             if let Some(job) = self.jobs.get_mut(&p.job) {
-                job.state = JobState::DynQueued;
+                job.set_state(JobState::DynQueued);
             }
             self.wake_scheduler(ctx);
         }
@@ -614,7 +692,8 @@ impl PbsServer {
         }
         let p = self.dyn_active.take().expect("checked");
         if let Some(job) = self.jobs.get_mut(&p.job) {
-            job.state = JobState::Running;
+            job.set_state(JobState::Running);
+            self.running_dirty.insert(p.job);
             job.dyn_sets.push(DynSet {
                 client_id: p.client_id.expect("granted"),
                 cn: p.cn,
@@ -664,7 +743,7 @@ impl PbsServer {
     fn finish_dyn_reject(&mut self, ctx: &mut Ctx<'_>, p: PendingDyn) {
         if let Some(job) = self.jobs.get_mut(&p.job) {
             if job.state == JobState::DynQueued {
-                job.state = JobState::Running;
+                job.set_state(JobState::Running);
             }
         }
         let metrics = ctx.metrics();
@@ -744,6 +823,7 @@ impl PbsServer {
         }
         if let Some(rec) = self.jobs.get_mut(&msg.job) {
             rec.dyn_sets.retain(|s| s.client_id != msg.set.client_id);
+            self.running_dirty.insert(msg.job);
         }
         {
             let mut db = self.db.lock();
@@ -776,10 +856,11 @@ impl PbsServer {
             self.send_mom(ctx, msg.from, JobExitAck { job: msg.job });
             return;
         }
-        rec.state = if msg.timed_out { JobState::TimedOut } else { JobState::Complete };
+        rec.set_state(if msg.timed_out { JobState::TimedOut } else { JobState::Complete });
         rec.completed = Some(ctx.now());
         rec.dyn_sets.clear();
         self.active.remove(&msg.job);
+        self.running_dirty.insert(msg.job);
         self.db.lock().release_job(msg.job);
         self.fs.remove_job(msg.job);
         self.record_pool_util(ctx);
@@ -863,12 +944,13 @@ impl PbsServer {
             rec.started = None;
             if requeue {
                 rec.requeues += 1;
-                rec.state = JobState::Queued;
+                rec.set_state(JobState::Queued);
             } else {
-                rec.state = JobState::Cancelled;
+                rec.set_state(JobState::Cancelled);
                 rec.completed = Some(ctx.now());
             }
             self.active.remove(&job);
+            self.running_dirty.insert(job);
             self.db.lock().release_job(job);
             self.fs.remove_job(job);
             if requeue {
@@ -965,12 +1047,12 @@ impl PbsServer {
         }
         let ok = match self.jobs.get_mut(&req.job) {
             Some(rec) if req.hold && rec.state == JobState::Queued => {
-                rec.state = JobState::Held;
+                rec.set_state(JobState::Held);
                 ctx.trace(format!("{} held", req.job));
                 true
             }
             Some(rec) if !req.hold && rec.state == JobState::Held => {
-                rec.state = JobState::Queued;
+                rec.set_state(JobState::Queued);
                 ctx.trace(format!("{} released from hold", req.job));
                 true
             }
@@ -991,17 +1073,18 @@ impl PbsServer {
         let mut was_active = false;
         let ok = match self.jobs.get_mut(&req.job) {
             Some(rec) if matches!(rec.state, JobState::Queued | JobState::Held) => {
-                rec.state = JobState::Cancelled;
+                rec.set_state(JobState::Cancelled);
                 rec.completed = Some(ctx.now());
                 self.queue_dead += 1;
                 self.maybe_compact_queue();
                 true
             }
             Some(rec) if matches!(rec.state, JobState::Running | JobState::DynQueued) => {
-                rec.state = JobState::Cancelled;
+                rec.set_state(JobState::Cancelled);
                 rec.completed = Some(ctx.now());
                 rec.dyn_sets.clear();
                 self.active.remove(&req.job);
+                self.running_dirty.insert(req.job);
                 was_active = true;
                 let ms = rec.compute.first().copied();
                 let incarnation = rec.incarnation;
@@ -1064,8 +1147,8 @@ impl Actor for PbsServer {
         };
         let env = match env.downcast::<ClusterQueryReq>() {
             Ok(m) => {
-                let (snapshot, nodes_delta) = self.snapshot_for(&m);
-                let resp = ClusterQueryResp { token: m.token, snapshot, nodes_delta };
+                let (snapshot, running_ended, delta) = self.snapshot_for(&m);
+                let resp = ClusterQueryResp { token: m.token, snapshot, running_ended, delta };
                 return self.reply(ctx, m.reply, resp);
             }
             Err(e) => e,
@@ -1099,6 +1182,7 @@ impl Actor for PbsServer {
                     {
                         let now = ctx.now();
                         rec.started = Some(now);
+                        self.running_dirty.insert(m.job);
                         let latency = now.since(rec.submitted);
                         ctx.metrics().observe_duration("rms.qsub_to_run", latency);
                     }
@@ -1152,5 +1236,113 @@ impl Actor for PbsServer {
             }
             None => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use darms_net::{HostKind, LatencyModel};
+    use darms_sim::{Engine, SimDuration};
+
+    type Drive = Box<dyn FnOnce(&mut PbsServer, &mut Ctx<'_>) + Send>;
+
+    /// Runs one scripted sequence of server handlers at t = 0, where a
+    /// `Ctx` exists. Timers and messages are not forwarded, so deferred
+    /// work runs only when the script calls it.
+    struct Probe {
+        server: PbsServer,
+        drive: Option<Drive>,
+    }
+
+    impl Actor for Probe {
+        fn on_message(&mut self, _ctx: &mut Ctx<'_>, _env: Envelope) {}
+
+        fn on_start(&mut self, ctx: &mut Ctx<'_>) {
+            if let Some(drive) = self.drive.take() {
+                drive(&mut self.server, ctx);
+            }
+        }
+    }
+
+    struct Rig {
+        cn: HostId,
+        acc: HostId,
+        reply: Address,
+    }
+
+    /// A server with one compute node and one accelerator, driven by
+    /// `drive`.
+    fn run_server(drive: impl FnOnce(&mut PbsServer, &mut Ctx<'_>, &Rig) + Send + 'static) {
+        let mut sim = Engine::with_seed(1);
+        let net = Network::new(LatencyModel::ideal(), 1);
+        let head = net.add_host("head", HostKind::Head);
+        let cn = net.add_host("cn00", HostKind::Compute);
+        let acc = net.add_host("ac00", HostKind::Accelerator);
+        let mut db = NodeDb::new();
+        db.add_compute(cn, 4);
+        db.add_accelerator(acc);
+        let server = PbsServer::new(net, PseudoFs::new(), head, RmsCostModel::instant(), db);
+        let rig = Rig { cn, acc, reply: sched_addr(head) };
+        let drive: Drive = Box::new(move |server, ctx| drive(server, ctx, &rig));
+        sim.add_actor(Box::new(Probe { server, drive: Some(drive) }));
+        sim.run();
+    }
+
+    /// Submit and start one job on the compute node, then take its
+    /// `AC_Get` for the accelerator through expose and grant, so only the
+    /// mom's `DynReady` is outstanding. Returns the job and the request's
+    /// server token.
+    fn start_with_granted_acc(
+        server: &mut PbsServer,
+        ctx: &mut Ctx<'_>,
+        rig: &Rig,
+    ) -> (JobId, u64) {
+        let spec = JobSpec::synthetic("victim", SimDuration::from_secs(100));
+        server.finish_qsub(ctx, 1, spec, rig.reply);
+        let job = JobId(1);
+        server.finish_run_job(ctx, RunJobCmd { job, compute: vec![rig.cn], accs: vec![vec![]] });
+        let req = DynGetReq {
+            token: 2,
+            job,
+            cn: rig.cn,
+            count: 1,
+            min_count: 1,
+            kind: DynResource::Accelerators { class: DeviceClass::default() },
+            reply: rig.reply,
+        };
+        server.handle_dynget(ctx, req);
+        server.expose_dyn(ctx);
+        assert_eq!(server.jobs[&job].state, JobState::DynQueued);
+        let token = server.dyn_active.as_ref().expect("active").token;
+        server.handle_run_dyn(ctx, RunDynCmd { token, accs: vec![rig.acc] });
+        assert!(!server.db.lock().get(rig.acc).expect("acc").is_free(), "granted");
+        (job, token)
+    }
+
+    #[test]
+    fn dyn_ready_after_timeout_leaves_job_timed_out() {
+        run_server(|server, ctx, rig| {
+            let (job, token) = start_with_granted_acc(server, ctx, rig);
+            let exit = JobExit { job, from: rig.cn, incarnation: 1, timed_out: true };
+            server.handle_job_exit(ctx, exit);
+            server.handle_dyn_ready(ctx, DynReady { job, token });
+            let rec = &server.jobs[&job];
+            assert_eq!(rec.state, JobState::TimedOut);
+            assert!(rec.dyn_sets.is_empty());
+            assert!(server.db.lock().get(rig.acc).expect("acc").is_free());
+        });
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "may not leave TimedOut")]
+    fn leaving_a_terminal_state_trips_the_debug_check() {
+        run_server(|server, ctx, rig| {
+            let (job, _) = start_with_granted_acc(server, ctx, rig);
+            let rec = server.jobs.get_mut(&job).expect("job");
+            rec.set_state(JobState::TimedOut);
+            rec.set_state(JobState::Running);
+        });
     }
 }

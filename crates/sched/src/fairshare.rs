@@ -21,8 +21,12 @@ impl Fairshare {
     }
 
     /// Decay all usage to `now` and accrue `cores × Δt` for every running
-    /// job's owner.
-    pub fn update(&mut self, now: SimTime, running: &[RunningJobSnap]) {
+    /// job's owner, in the order given.
+    pub fn update<'a>(
+        &mut self,
+        now: SimTime,
+        running: impl IntoIterator<Item = &'a RunningJobSnap>,
+    ) {
         let dt = (now - self.last_update).as_secs_f64();
         if dt > 0.0 {
             let hl = self.half_life.as_secs_f64().max(1e-9);
@@ -32,7 +36,12 @@ impl Fairshare {
             }
             for job in running {
                 let cores = (job.compute_hosts.len() as f64) * job.ppn as f64;
-                *self.usage.entry(job.owner.clone()).or_insert(0.0) += cores * dt;
+                match self.usage.get_mut(job.owner.as_str()) {
+                    Some(v) => *v += cores * dt,
+                    None => {
+                        self.usage.insert(job.owner.clone(), cores * dt);
+                    }
+                }
             }
             self.last_update = now;
         }

@@ -8,11 +8,11 @@
 //! therefore serviced only after the iteration completes — exactly the
 //! waiting the paper measures in Fig. 8.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use darms_net::{HostId, Network};
 use darms_rms::proto::*;
-use darms_rms::{sched_addr, server_addr};
+use darms_rms::{sched_addr, server_addr, JobId};
 use darms_sim::{Actor, Ctx, Envelope, Recorder, SimDuration, SimTime, TraceSource};
 
 use crate::alloc::{split_accs, AllocPolicy, FreeTracker};
@@ -151,7 +151,10 @@ pub struct MauiScheduler {
     query_token: u64,
     worklist: VecDeque<WorkItem>,
     tracker: Option<FreeTracker>,
-    running: Vec<RunningJobSnap>,
+    /// The server's running list as of the last snapshot applied, in
+    /// `JobId` order (the server's order, which keeps fairshare sums
+    /// bit-identical between full and delta responses).
+    running: BTreeMap<JobId, RunningJobSnap>,
     /// Jobs started earlier in the *current* iteration; they are not in
     /// the snapshot's running list yet but must count for backfill shadow
     /// computation.
@@ -201,7 +204,7 @@ impl MauiScheduler {
             query_token: 0,
             worklist: VecDeque::new(),
             tracker: None,
-            running: Vec::new(),
+            running: BTreeMap::new(),
             iter_started: Vec::new(),
             shadow: None,
             blocked_no_backfill: false,
@@ -273,10 +276,21 @@ impl MauiScheduler {
         if self.phase != Phase::AwaitSnapshot || resp.token != self.query_token {
             return; // stale snapshot
         }
-        let nodes_delta = resp.nodes_delta;
+        let delta = resp.delta;
         let mut snap = resp.snapshot;
         let now = ctx.now();
-        self.fairshare.update(now, &snap.running);
+        // The server only serves a delta when our `cached_token` matched,
+        // so `running` holds exactly the list that delta patches.
+        if !delta {
+            self.running.clear();
+        }
+        for id in &resp.running_ended {
+            self.running.remove(id);
+        }
+        for r in std::mem::take(&mut snap.running) {
+            self.running.insert(r.job, r);
+        }
+        self.fairshare.update(now, self.running.values());
         let queued = std::mem::take(&mut snap.queued);
         let ordered = order_queue(queued, now, &self.config.policy, &self.fairshare);
         let mut worklist: VecDeque<WorkItem> = VecDeque::new();
@@ -291,7 +305,7 @@ impl MauiScheduler {
         } else {
             worklist.extend(ordered.into_iter().map(WorkItem::Job));
         }
-        if nodes_delta {
+        if delta {
             // The server only serves a delta when our `cached_token`
             // matched, so a retained tracker must exist; fall back to a
             // fresh full query if an unknown host appears (defensive —
@@ -313,8 +327,7 @@ impl MauiScheduler {
         self.cached_token = Some(resp.token);
         self.touched.clear();
         self.last_snapshot_active =
-            !snap.running.is_empty() || !worklist.is_empty() || snap.dyn_pending.is_some();
-        self.running = std::mem::take(&mut snap.running);
+            !self.running.is_empty() || !worklist.is_empty() || snap.dyn_pending.is_some();
         self.iter_started.clear();
         self.shadow = None;
         self.blocked_no_backfill = false;
@@ -367,9 +380,9 @@ impl MauiScheduler {
         let slice_exclude: Vec<HostId> = match &item {
             WorkItem::Dyn(d) if matches!(d.kind, DynResource::AcceleratorSlices { .. }) => self
                 .running
-                .iter()
-                .chain(self.iter_started.iter())
-                .filter(|r| r.job == d.job)
+                .get(&d.job)
+                .into_iter()
+                .chain(self.iter_started.iter().filter(|r| r.job == d.job))
                 .flat_map(|r| r.compute_hosts.iter().chain(r.acc_hosts.iter()).copied())
                 .collect(),
             WorkItem::Dyn(_) | WorkItem::Job(_) => Vec::new(),
@@ -504,9 +517,8 @@ impl MauiScheduler {
                     self.send_server(ctx, RunJobCmd { job: j.job, compute, accs });
                 } else if self.shadow.is_none() {
                     if self.config.backfill {
-                        let mut running = self.running.clone();
-                        running.extend(self.iter_started.iter().cloned());
-                        self.shadow = shadow_time(&j, tracker, &running, now);
+                        let running = self.running.values().chain(self.iter_started.iter());
+                        self.shadow = shadow_time(&j, tracker, running, now);
                     } else {
                         self.blocked_no_backfill = true;
                     }
