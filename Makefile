@@ -5,7 +5,12 @@
 # BENCH_sim.json; `make bench-smoke` is the tiny-workload variant (one
 # trial per scenario); `make bench-check` runs the smoke suite and
 # fails if ping-pong or datacenter@1k-hosts throughput drops more
-# than 20% below the committed BENCH_sim.json. `make chaos-smoke` runs the seeded
+# than 20% below the committed BENCH_sim.json. `make bench-digest` prints
+# the `# digest` line (engine stats, job tables, registry counters) of
+# one untimed run of each BENCHMARK.json workload at seed SEED (default
+# 1; e.g. `make bench-digest SEED=2` for a held-out seed): a change that
+# only speeds the simulator up must leave every digest unchanged. It is
+# not part of `make verify`. `make chaos-smoke` runs the seeded
 # fault-injection sweep over the default 50 seeds (each run twice to
 # prove byte-identical reproduction); for longer soaks run e.g.
 # `cargo run --release -p darms-experiments --bin chaos_sweep -- --seeds 0..5000`.
@@ -24,6 +29,8 @@
 # missing a send site or handler (orphan sends / dead handlers gate
 # `make verify` through it); `make deny` audits Cargo.lock and the
 # crate licenses against deny.toml.
+
+SEED ?= 1
 
 .PHONY: verify fmt lint lint-darms lint-graph deny build test bench bench-smoke bench-check bench-digest chaos-smoke soak-smoke fabric-smoke
 
@@ -64,7 +71,7 @@ bench-digest:
 	@for w in dc_deep dc_wide dyn_offload; do \
 		printf '%s: ' $$w; \
 		cargo run --release -q --offline --manifest-path perfbench/Cargo.toml -- \
-			--workload $$w --seed 1 --seconds 0 --trace 0 | grep '^# digest' || exit 1; \
+			--workload $$w --seed $(SEED) --seconds 0 --trace 0 | grep '^# digest' || exit 1; \
 	done
 
 chaos-smoke:

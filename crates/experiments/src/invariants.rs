@@ -14,9 +14,11 @@
 //!    terminal, no node may still hold cores or a dynamically granted
 //!    accelerator set ([`check_no_leaks`]); job-terminality itself is
 //!    observed by the caller's in-sim auditor (it needs `qstat`);
-//! 4. **Monotone event clock** — the serialized trace's virtual
+//! 4. **Liveness** — no started job is still non-terminal once its
+//!    walltime plus a grace period has passed ([`check_liveness`]);
+//! 5. **Monotone event clock** — the serialized trace's virtual
 //!    timestamps never decrease ([`check_monotone_clock`]);
-//! 5. **Replay identity** — a rerun from the same seed reproduces the
+//! 6. **Replay identity** — a rerun from the same seed reproduces the
 //!    serialized trace byte-for-byte ([`check_replay_identity`];
 //!    [`first_divergence`] locates the first differing line for triage).
 //!
@@ -24,7 +26,7 @@
 //! empty means the invariant held — so callers can aggregate freely.
 
 use darms::prelude::*;
-use darms_rms::NodeDb;
+use darms_rms::{JobStatus, NodeDb};
 
 /// Engine-health invariant: the run must finish without a simulated
 /// process panicking and without hitting the engine's event cap (a cap
@@ -75,6 +77,35 @@ pub fn check_no_leaks(db: &NodeDb) -> Vec<String> {
         }
     }
     v
+}
+
+/// Liveness invariant: a job started at `s` must be terminal once
+/// `s + walltime + grace` lies before `end`. Walltime enforcement ends
+/// it at `s + walltime`; `grace` covers the kill's control-plane round
+/// trips and retries. `table` is a `qstat` listing taken at `end`, and
+/// `walltime` bounds the walltime of every job in it. A job that has
+/// not started (or was requeued) is not judged: it may wait in the queue.
+pub fn check_liveness(
+    table: &[JobStatus],
+    walltime: SimDuration,
+    end: SimTime,
+    grace: SimDuration,
+) -> Vec<String> {
+    table
+        .iter()
+        .filter(|s| !s.state.is_terminal())
+        .filter_map(|s| {
+            let started = s.started?;
+            let deadline = started + walltime + grace;
+            (deadline < end).then(|| {
+                format!(
+                    "{} still {:?} at {end}: started {started}, past walltime + grace at \
+                     {deadline}",
+                    s.id, s.state
+                )
+            })
+        })
+        .collect()
 }
 
 /// Monotone-clock invariant: virtual timestamps in the event stream
@@ -173,6 +204,37 @@ mod tests {
         assert_eq!(v.len(), 2);
         assert!(v[0].contains("panic"));
         assert!(v[1].contains("event cap"));
+    }
+
+    #[test]
+    fn liveness_flags_only_started_jobs_past_walltime_and_grace() {
+        let at = |s: u64| SimTime::ZERO + SimDuration::from_secs(s);
+        let job = |id: u64, state: JobState, started: Option<u64>| JobStatus {
+            id: JobId(id),
+            name: format!("j{id}"),
+            owner: "u".into(),
+            state,
+            submitted: SimTime::ZERO,
+            started: started.map(at),
+            completed: None,
+            compute_hosts: Vec::new(),
+            static_accs: Vec::new(),
+            dyn_sets: Vec::new(),
+        };
+        let wall = SimDuration::from_secs(100);
+        let grace = SimDuration::from_secs(30);
+        let table = vec![
+            job(1, JobState::Running, Some(0)),    // deadline 130 < 200: stuck
+            job(2, JobState::Running, Some(100)),  // deadline 230: still in time
+            job(3, JobState::Queued, None),        // never started: not judged
+            job(4, JobState::TimedOut, Some(0)),   // terminal
+            job(5, JobState::DynQueued, Some(50)), // deadline 180 < 200: stuck
+        ];
+        let v = check_liveness(&table, wall, at(200), grace);
+        assert_eq!(v.len(), 2, "{v:?}");
+        assert!(v[0].starts_with(&JobId(1).to_string()), "{v:?}");
+        assert!(v[1].starts_with(&JobId(5).to_string()), "{v:?}");
+        assert!(check_liveness(&table, wall, at(130), grace).is_empty(), "deadline is exclusive");
     }
 
     #[test]

@@ -46,6 +46,14 @@ fn secs(s: u64) -> SimDuration {
 /// Virtual-time horizon of every soak cell.
 const HORIZON_SECS: u64 = 400;
 
+/// Walltime of every generated job.
+const JOB_WALLTIME_SECS: u64 = 120;
+
+/// How long past its walltime a started job may stay non-terminal
+/// before the liveness check flags it: the walltime kill's control-plane
+/// round trips, resends, and outage detection (about 12 s).
+const LIVENESS_GRACE_SECS: u64 = 60;
+
 /// Trace lines kept on each side of the anchor in a bundle's slice.
 const SLICE_CONTEXT: usize = 25;
 
@@ -377,7 +385,7 @@ pub fn run_cell(cell: &SoakCell) -> CellOutcome {
         let spec = JobSpec::synthetic(format!("chaos{i}"), j.runtime)
             .nodes(j.nodes)
             .ppn(j.ppn)
-            .walltime(secs(120))
+            .walltime(secs(JOB_WALLTIME_SECS))
             .script(script(move |mut jc| {
                 let jc_cfg = jc_cfg.clone();
                 async move {
@@ -397,13 +405,16 @@ pub fn run_cell(cell: &SoakCell) -> CellOutcome {
 
     // The auditor: a head-node client polling qstat until every job is
     // terminal (or the horizon closes in), then sampling pool accounting
-    // under load.
+    // under load. The last qstat table and its time feed the liveness
+    // check.
     #[derive(Default)]
     struct Audit {
         all_terminal: bool,
         completed: usize,
         cancelled: usize,
         mid_run_violations: Vec<String>,
+        table: Vec<JobStatus>,
+        table_at: SimTime,
     }
     let audit = Arc::new(Mutex::new(Audit::default()));
     let out = audit.clone();
@@ -422,11 +433,15 @@ pub fn run_cell(cell: &SoakCell) -> CellOutcome {
             }
             let now = c.proc.now();
             if let Ok(statuses) = ifl::try_qstat(&c.proc, &c.net, c.head, c.server).await {
+                let mut a = out.lock();
                 if statuses.len() == n_jobs && statuses.iter().all(|s| s.state.is_terminal()) {
-                    let mut a = out.lock();
                     a.all_terminal = true;
                     a.completed = statuses.iter().filter(|s| s.state == JobState::Complete).count();
                     a.cancelled = statuses.len() - a.completed;
+                }
+                a.table = statuses;
+                a.table_at = now;
+                if a.all_terminal {
                     return;
                 }
             }
@@ -446,6 +461,12 @@ pub fn run_cell(cell: &SoakCell) -> CellOutcome {
         violations.push("jobs still not terminal near the horizon".to_string());
     }
     violations.extend(a.mid_run_violations.iter().cloned());
+    violations.extend(invariants::check_liveness(
+        &a.table,
+        secs(JOB_WALLTIME_SECS),
+        a.table_at,
+        secs(LIVENESS_GRACE_SECS),
+    ));
     {
         let db = cluster.node_db.lock();
         violations.extend(invariants::check_pool(&db, "final"));

@@ -1334,6 +1334,42 @@ mod tests {
         });
     }
 
+    #[test]
+    fn dynget_of_a_terminal_job_is_rejected_without_queueing() {
+        run_server(|server, ctx, rig| {
+            let spec = JobSpec::synthetic("done", SimDuration::from_secs(10));
+            server.finish_qsub(ctx, 1, spec, rig.reply);
+            let job = JobId(1);
+            server
+                .finish_run_job(ctx, RunJobCmd { job, compute: vec![rig.cn], accs: vec![vec![]] });
+            let exit = JobExit { job, from: rig.cn, incarnation: 1, timed_out: false };
+            server.handle_job_exit(ctx, exit);
+            let req = DynGetReq {
+                token: 2,
+                job,
+                cn: rig.cn,
+                count: 1,
+                min_count: 1,
+                kind: DynResource::Accelerators { class: DeviceClass::default() },
+                reply: rig.reply,
+            };
+            server.handle_dynget(ctx, req);
+            assert!(server.dyn_fifo.is_empty() && server.dyn_active.is_none(), "never queued");
+            assert!(
+                matches!(
+                    server.ifl_seen.get(&2),
+                    Some(Some((
+                        _,
+                        CachedResp::DynGet(DynGetResp { result: Err(DynReject::BadJob), .. })
+                    )))
+                ),
+                "answered BadJob"
+            );
+            assert_eq!(server.jobs[&job].state, JobState::Complete);
+            assert!(server.db.lock().get(rig.acc).expect("acc").is_free());
+        });
+    }
+
     #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "may not leave TimedOut")]

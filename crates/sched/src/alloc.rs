@@ -16,8 +16,15 @@
 //! [`reference::LinearFreeTracker`] and a property test
 //! (`tests/alloc_props.rs`) checks both agree on randomized
 //! take/give-back sequences.
+//!
+//! Whole-device accelerator grants draw from a `FreePool`: fully free
+//! accelerators in the order they became free, indexed by device class,
+//! so a class-constrained count is O(1) and a grant of n hosts costs
+//! O(n log N). A dynamic `AC_Get` decision, served at top priority in
+//! every pass, therefore never scans the pool.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 
 use darms_net::HostId;
 use darms_rms::proto::{ClusterSnapshot, DeviceClass, QueuedJobSnap};
@@ -45,6 +52,96 @@ struct AccState {
     reg: usize,
 }
 
+/// Fully free accelerator hosts in the order they became free, indexed
+/// by device class. Every host has an arrival number (`seq`) that only
+/// grows, so ascending `seq` is pool order within one class, and the
+/// lowest `seq` among the class heads is the first host overall.
+/// Re-filing a host under another class keeps its number. There is no
+/// separate overall-order map: the tracker is cloned once per blocked
+/// queue head in `backfill::shadow_time`, so every map costs there.
+#[derive(Clone, Debug, Default)]
+struct FreePool {
+    /// Arrival number of the next host to join.
+    next: u64,
+    /// `seq → host` per device class.
+    by_class: BTreeMap<DeviceClass, BTreeMap<u64, HostId>>,
+    /// `host → (seq, class)` for every pooled host.
+    pos: BTreeMap<HostId, (u64, DeviceClass)>,
+}
+
+impl FreePool {
+    fn len(&self) -> usize {
+        self.pos.len()
+    }
+
+    fn len_class(&self, class: DeviceClass) -> usize {
+        self.by_class.get(&class).map_or(0, BTreeMap::len)
+    }
+
+    /// Append `host` under `class`; a host already in the pool keeps its
+    /// place and is only re-filed under `class`.
+    fn insert(&mut self, host: HostId, class: DeviceClass) {
+        match self.pos.entry(host) {
+            Entry::Occupied(mut e) => {
+                let (seq, c) = e.get_mut();
+                if *c != class {
+                    self.by_class.get_mut(c).expect("class indexed").remove(seq);
+                    self.by_class.entry(class).or_default().insert(*seq, host);
+                    *c = class;
+                }
+            }
+            Entry::Vacant(e) => {
+                e.insert((self.next, class));
+                self.by_class.entry(class).or_default().insert(self.next, host);
+                self.next += 1;
+            }
+        }
+        self.debug_check();
+    }
+
+    /// Remove `host` if it is pooled, in O(log N).
+    fn remove(&mut self, host: HostId) {
+        if let Some((seq, class)) = self.pos.remove(&host) {
+            self.by_class.get_mut(&class).expect("class indexed").remove(&seq);
+        }
+        self.debug_check();
+    }
+
+    /// Take the first `n` hosts in pool order, of `class` if given.
+    /// Returns `None` (and changes nothing) if fewer are pooled.
+    fn take(&mut self, n: usize, class: Option<DeviceClass>) -> Option<Vec<HostId>> {
+        if class.map_or(self.len(), |c| self.len_class(c)) < n {
+            return None;
+        }
+        let mut taken = Vec::with_capacity(n);
+        for _ in 0..n {
+            // The first host overall heads the class whose first
+            // arrival number is lowest.
+            let (_, host) = self
+                .by_class
+                .iter_mut()
+                .filter(|(c, _)| class.is_none_or(|want| **c == want))
+                .filter_map(|(_, m)| Some((*m.first_key_value()?.0, m)))
+                .min_by_key(|(seq, _)| *seq)
+                .and_then(|(_, m)| m.pop_first())
+                .expect("counted above");
+            self.pos.remove(&host);
+            taken.push(host);
+        }
+        self.debug_check();
+        Some(taken)
+    }
+
+    /// The per-host index and the class index describe the same hosts.
+    fn debug_check(&self) {
+        debug_assert_eq!(
+            self.by_class.values().map(BTreeMap::len).sum::<usize>(),
+            self.pos.len(),
+            "class index and per-host index out of step"
+        );
+    }
+}
+
 /// Free-resource view maintained by the scheduler during one iteration,
 /// decremented as it hands out allocations so that later decisions in the
 /// same iteration never double-book (the server re-validates anyway).
@@ -58,12 +155,12 @@ pub struct FreeTracker {
     offline: Vec<bool>,
     /// Compute indices bucketed by current free-core count.
     by_free: BTreeMap<u32, BTreeSet<usize>>,
-    /// Fully-free accelerator hosts, in registration (= FIFO grant) order.
-    /// Whole-device grants (static `acpn`, dynamic `Accelerators`) come
-    /// from here; a partially sliced device is never in this pool.
-    accs: VecDeque<HostId>,
-    /// Membership mirror of `accs` for O(log n) duplicate checks.
-    acc_set: BTreeSet<HostId>,
+    /// Fully free accelerator hosts in the order they became free (the
+    /// snapshot's registration order at build time, then appended as
+    /// hosts return), indexed by class. Whole-device grants (static
+    /// `acpn`, dynamic `Accelerators`) come from here; a partially
+    /// sliced device is never in this pool.
+    accs: FreePool,
     /// Slice-level view of every accelerator host (including offline
     /// ones, so delta patches can revive them in place).
     acc_state: BTreeMap<HostId, AccState>,
@@ -76,8 +173,7 @@ impl FreeTracker {
         let mut compute = Vec::new();
         let mut offline = Vec::new();
         let mut by_free: BTreeMap<u32, BTreeSet<usize>> = BTreeMap::new();
-        let mut accs = VecDeque::new();
-        let mut acc_set = BTreeSet::new();
+        let mut accs = FreePool::default();
         let mut acc_state = BTreeMap::new();
         let mut index = BTreeMap::new();
         for n in &snap.nodes {
@@ -93,8 +189,7 @@ impl FreeTracker {
                 }
                 NodeRole::Accelerator => {
                     if !n.offline && n.cores_free == n.cores_total {
-                        accs.push_back(n.host);
-                        acc_set.insert(n.host);
+                        accs.insert(n.host, n.class);
                     }
                     let reg = acc_state.len();
                     acc_state.insert(
@@ -110,7 +205,7 @@ impl FreeTracker {
                 }
             }
         }
-        FreeTracker { compute, offline, by_free, accs, acc_set, acc_state, index }
+        FreeTracker { compute, offline, by_free, accs, acc_state, index }
     }
 
     /// Patch one node's state from a delta snapshot: overwrite with the
@@ -138,15 +233,12 @@ impl FreeTracker {
                 true
             }
             NodeRole::Accelerator => {
-                let free = !n.offline && n.cores_free == n.cores_total;
-                if free {
-                    if self.acc_set.insert(n.host) {
-                        self.accs.push_back(n.host);
-                    }
-                } else if self.acc_set.remove(&n.host) {
+                if !n.offline && n.cores_free == n.cores_total {
+                    self.accs.insert(n.host, n.class);
+                } else {
                     // Rare: the server took (or offlined) an accelerator
                     // the scheduler did not hand out itself.
-                    self.accs.retain(|h| *h != n.host);
+                    self.accs.remove(n.host);
                 }
                 let reg = self.acc_state.len();
                 let s = self.acc_state.entry(n.host).or_insert(AccState {
@@ -254,12 +346,14 @@ impl FreeTracker {
             }
         }
         for h in accs {
-            if self.acc_set.insert(*h) {
-                self.accs.push_back(*h);
-            }
-            if let Some(s) = self.acc_state.get_mut(h) {
-                s.free = s.total;
-            }
+            let class = match self.acc_state.get_mut(h) {
+                Some(s) => {
+                    s.free = s.total;
+                    s.class
+                }
+                None => DeviceClass::default(),
+            };
+            self.accs.insert(*h, class);
         }
     }
 
@@ -267,46 +361,33 @@ impl FreeTracker {
     /// nothing) if fewer are free — the all-or-nothing semantics of both
     /// the static `acpn` request and the dynamic `AC_Get`.
     pub fn take_accelerators(&mut self, n: usize) -> Option<Vec<HostId>> {
-        if self.accs.len() < n {
-            return None;
-        }
-        let taken: Vec<HostId> = self.accs.drain(..n).collect();
-        for h in &taken {
-            self.acc_set.remove(h);
-            if let Some(s) = self.acc_state.get_mut(h) {
-                s.free = 0;
-            }
-        }
+        let taken = self.accs.take(n, None)?;
+        self.mark_taken(&taken);
         Some(taken)
     }
 
     /// Number of fully free accelerator hosts of one device class.
     pub fn free_acc_count_class(&self, class: DeviceClass) -> usize {
-        self.accs.iter().filter(|h| self.class_of(**h) == class).count()
-    }
-
-    fn class_of(&self, h: HostId) -> DeviceClass {
-        self.acc_state.get(&h).map_or_else(DeviceClass::default, |s| s.class)
+        self.accs.len_class(class)
     }
 
     /// Class-constrained [`Self::take_accelerators`]: pick `n` fully free
-    /// accelerator hosts of `class` in FIFO grant order. In an all-GpuLike
-    /// cluster the filter is a no-op and the picks are identical to the
+    /// accelerator hosts of `class` in the order they became free. In an
+    /// all-GpuLike cluster the picks are identical to the
     /// unconstrained path.
     pub fn take_accelerators_class(&mut self, n: usize, class: DeviceClass) -> Option<Vec<HostId>> {
-        let taken: Vec<HostId> =
-            self.accs.iter().copied().filter(|h| self.class_of(*h) == class).take(n).collect();
-        if taken.len() < n {
-            return None;
-        }
-        for h in &taken {
-            self.acc_set.remove(h);
-            self.accs.retain(|x| x != h);
+        let taken = self.accs.take(n, Some(class))?;
+        self.mark_taken(&taken);
+        Some(taken)
+    }
+
+    /// Record whole-device grants in the slice view.
+    fn mark_taken(&mut self, hosts: &[HostId]) {
+        for h in hosts {
             if let Some(s) = self.acc_state.get_mut(h) {
                 s.free = 0;
             }
         }
-        Some(taken)
     }
 
     /// Number of devices of `class` that could host one more slice for a
@@ -350,9 +431,7 @@ impl FreeTracker {
         for h in &hosts {
             let s = self.acc_state.get_mut(h).expect("candidate host tracked");
             s.free -= 1;
-            if self.acc_set.remove(h) {
-                self.accs.retain(|x| x != h);
-            }
+            self.accs.remove(*h);
         }
         Some(hosts)
     }
@@ -363,8 +442,8 @@ impl FreeTracker {
         for h in hosts {
             if let Some(s) = self.acc_state.get_mut(h) {
                 s.free = (s.free + 1).min(s.total);
-                if !s.offline && s.free == s.total && self.acc_set.insert(*h) {
-                    self.accs.push_back(*h);
+                if !s.offline && s.free == s.total {
+                    self.accs.insert(*h, s.class);
                 }
             }
         }

@@ -149,13 +149,16 @@ proptest! {
     }
 
     /// Per-class pools and slice accounting: the indexed tracker and the
-    /// linear reference must agree on every class-constrained grant,
-    /// slice grant (with exclusion), revoke, and offline/revive patch —
-    /// the fabric extension of the invariant above.
+    /// linear reference must agree on every class-constrained and
+    /// unconstrained grant, slice grant (with exclusion), revoke, whole-
+    /// device return, and offline/revive/re-class patch — the fabric
+    /// extension of the invariant above. Mixing both grant kinds in one
+    /// sequence checks the free pool's overall order and its per-class
+    /// index against each other.
     #[test]
     fn class_and_slice_tracking_matches_linear_reference(
         accs in prop::collection::vec(0u8..=0x7f, 1..16),
-        ops in prop::collection::vec((0u8..5, 1usize..4, 0usize..16, 0u8..2), 1..48),
+        ops in prop::collection::vec((0u8..7, 1usize..4, 0usize..16, 0u8..2), 1..48),
     ) {
         let snap = fabric_snapshot(&accs);
         let mut fast = FreeTracker::from_snapshot(&snap);
@@ -164,6 +167,8 @@ proptest! {
         // most recent grant doubles as the exclusion list (a job's own
         // footprint) for the next request.
         let mut slice_grants: Vec<Vec<HostId>> = Vec::new();
+        // Unconstrained whole-device grants, returned whole by `give_back`.
+        let mut device_grants: Vec<Vec<HostId>> = Vec::new();
         for (op, k, sel, cls) in ops {
             let class = if cls == 0 { DeviceClass::GpuLike } else { DeviceClass::DpuRankLike };
             match op {
@@ -209,6 +214,21 @@ proptest! {
                     };
                     fast.apply(&n);
                     slow.apply_acc(&n);
+                }
+                4 => {
+                    let a = fast.take_accelerators(k);
+                    let b = slow.take_accelerators(k);
+                    prop_assert_eq!(&a, &b, "take_accelerators({})", k);
+                    if let Some(hosts) = a {
+                        device_grants.push(hosts);
+                    }
+                }
+                5 => {
+                    if !device_grants.is_empty() {
+                        let hosts = device_grants.remove(sel % device_grants.len());
+                        fast.give_back(&[], 0, &hosts);
+                        slow.give_back(&[], 0, &hosts);
+                    }
                 }
                 _ => {
                     prop_assert_eq!(
